@@ -15,8 +15,7 @@ fn bench_cell_day(c: &mut Criterion) {
         ("48_machines", 0.004),
         ("512_machines", 512.0 / 12000.0),
         ("2048_machines", 2048.0 / 12000.0),
-        // Paper-scale points unlocked by sharded placement (a 12k-machine
-        // cell is scale 1.0): auto-sharding picks K from the host.
+        // Paper-scale points (a 12k-machine cell is scale 1.0).
         ("4096_machines", 4096.0 / 12000.0),
         ("8192_machines", 8192.0 / 12000.0),
     ] {
@@ -54,28 +53,6 @@ fn bench_cell_day(c: &mut Criterion) {
         cfg.use_placement_index = false;
         b.iter(|| CellSim::run_cell(&profile, &cfg));
     });
-    group.finish();
-}
-
-/// Shard-count sweep at the acceptance scale: the same 2048-machine
-/// cell-day under explicit K ∈ {1, 2, 4, 8}. Every K produces the same
-/// trace (see `shard_equivalence.rs`); this group records what each K
-/// costs on this host — including the expected *negative* result on
-/// single-core machines, where the fan-out is pure overhead.
-fn bench_shard_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_sweep_2048");
-    group.sample_size(10);
-    for k in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(format!("K{k}")), &k, |b, &k| {
-            let profile = CellProfile::cell_2019('d');
-            let mut cfg = SimConfig::tiny_for_tests(1);
-            cfg.scale = 2048.0 / 12000.0;
-            cfg.horizon = Micros::from_days(1);
-            cfg.snapshot_at = Micros::from_hours(12);
-            cfg.placement_shards = Some(k);
-            b.iter(|| CellSim::run_cell(&profile, &cfg));
-        });
-    }
     group.finish();
 }
 
@@ -171,7 +148,7 @@ fn bench_placement_path(c: &mut Criterion) {
         // Cycling through more shapes than the cache holds evicts every
         // entry before it is asked again, so each query pays the full
         // mirror scan plus a cache store: the cold path.
-        let mut index = PlacementIndex::new(&machines, 7);
+        let mut index = PlacementIndex::new(&machines);
         let shapes: Vec<Resources> = (0..8192)
             .map(|i| Resources::new(0.06 + (i % 97) as f64 * 1e-6, 0.05 + (i / 97) as f64 * 1e-6))
             .collect();
@@ -185,7 +162,7 @@ fn bench_placement_path(c: &mut Criterion) {
         // Steady churn: the winner mutates between queries, so each
         // lookup revalidates the entry against a one-record tail instead
         // of rescanning the fleet.
-        let mut index = PlacementIndex::new(&machines, 7);
+        let mut index = PlacementIndex::new(&machines);
         b.iter(|| {
             let hit = index.best_fit(&machines, req, Tier::Production);
             if let Some((mi, _)) = hit {
@@ -196,7 +173,7 @@ fn bench_placement_path(c: &mut Criterion) {
     });
     group.bench_function("indexed_cached_10k", |b| {
         // Steady state: an unchanged fleet answers from the score cache.
-        let mut index = PlacementIndex::new(&machines, 7);
+        let mut index = PlacementIndex::new(&machines);
         index.best_fit(&machines, req, Tier::Production);
         b.iter(|| index.best_fit(&machines, req, Tier::Production));
     });
@@ -237,7 +214,6 @@ fn bench_ablations(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cell_day,
-    bench_shard_sweep,
     bench_2011_vs_2019,
     bench_machine_fit,
     bench_placement_path,

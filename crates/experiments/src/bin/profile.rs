@@ -38,12 +38,11 @@ use borg_trace::time::Micros;
 use borg_workload::cells::CellProfile;
 
 const USAGE: &str =
-    "usage: profile [--seed N] [--machines N] [--shards K] [--trace-out PATH] [--serve] [--full]";
+    "usage: profile [--seed N] [--machines N] [--trace-out PATH] [--serve] [--full]";
 
 struct Opts {
     seed: u64,
     machines: u64,
-    shards: Option<usize>,
     trace_out: Option<std::path::PathBuf>,
     serve: bool,
     full: bool,
@@ -53,7 +52,6 @@ fn parse_opts() -> Opts {
     let mut opts = Opts {
         seed: 1,
         machines: 512,
-        shards: None,
         trace_out: None,
         serve: false,
         full: false,
@@ -67,9 +65,6 @@ fn parse_opts() -> Opts {
                 opts.machines = value("--machines needs a number")
                     .parse()
                     .expect("machines");
-            }
-            "--shards" => {
-                opts.shards = Some(value("--shards needs a number").parse().expect("shards"));
             }
             "--trace-out" => opts.trace_out = Some(value("--trace-out needs a path").into()),
             "--serve" => opts.serve = true,
@@ -105,14 +100,12 @@ fn main() {
     cfg.horizon = Micros::from_days(1);
     cfg.snapshot_at = Micros::from_hours(12);
     cfg.telemetry = true;
-    cfg.placement_shards = opts.shards;
     cfg.validate();
 
     println!(
-        "=== profile: {}-machine cell-day (cell d, seed {}, {} placement shard(s)) ===\n",
+        "=== profile: {}-machine cell-day (cell d, seed {}) ===\n",
         cfg.machine_count(&profile),
         opts.seed,
-        cfg.effective_shards(cfg.machine_count(&profile)),
     );
     let outcome = CellSim::run_cell(&profile, &cfg);
     let snap = &outcome.telemetry;

@@ -4,7 +4,7 @@
 //! module replaces the old hand-maintained `BIT_IDENTITY_FILES` list
 //! with *contract entry points* ([`CONTRACT_ROOTS`]): named functions
 //! whose transitive callees are computed and policed automatically. A
-//! helper module called from `shard.rs` is inside the bit-identity
+//! helper module called from `index.rs` is inside the bit-identity
 //! contract the day it is created — no list to forget to update.
 //!
 //! # Name resolution (best-effort, by construction conservative)
@@ -18,7 +18,7 @@
 //!   callee crates.
 //! * **Qualified calls** `Head::name(…)` try `Head::name` as an
 //!   impl/trait-qualified item, then fall back to a free `name`
-//!   (module-path heads like `shard::combine_winners`), caller crate
+//!   (module-path heads like `clock::now_ns`), caller crate
 //!   first, blessed crates after.
 //! * **Method calls** `.name(…)` resolve to *every* function named
 //!   `name` in the caller's crate and its blessed crates (union): on
@@ -62,16 +62,6 @@ pub const CONTRACT_ROOTS: &[ContractRoot] = &[
     ContractRoot {
         file: "crates/sim/src/multi.rs",
         qual: "run_cells_parallel",
-    },
-    // Sharded placement probes (also reachable from run_cell; explicit
-    // so the shard layer stays policed even if the cell rewires).
-    ContractRoot {
-        file: "crates/sim/src/shard.rs",
-        qual: "ShardedPlacement::best_fit",
-    },
-    ContractRoot {
-        file: "crates/sim/src/shard.rs",
-        qual: "ShardedPlacement::first_preemptible",
     },
     // The parallel==sequential query contracts.
     ContractRoot {

@@ -2,8 +2,8 @@
 //!
 //! An offline, dependency-free static-analysis tool enforcing the
 //! project invariants that the bit-identity contracts (parallel ==
-//! sequential query scans, indexed == naive placement, sharded ==
-//! single-index) and the paper's figure-reproducibility rest on. It
+//! sequential query scans, indexed == naive placement, batched ==
+//! legacy event loop) and the paper's figure-reproducibility rest on. It
 //! lexes every `.rs` file in the workspace with its own token-level
 //! lexer ([`lexer`]), recovers items and call sites with a lightweight
 //! parser ([`parse`]), resolves a workspace call graph ([`graph`]),

@@ -130,8 +130,8 @@ impl RuleId {
             }
             RuleId::C3 => {
                 "order-sensitive reduction in contract-reachable code: float sum/fold or \
-                 reduce/min_by/max_by — use the sequential helpers (sum_seq) or the blessed \
-                 fixed-order combining loop (shard::combine_winners)"
+                 reduce/min_by/max_by — use the sequential helpers (sum_seq) or an explicit \
+                 fixed-order loop with a lexicographic (score, index) tie-break"
             }
             RuleId::S1 => "`unsafe` without a `// SAFETY:` comment in the preceding three lines",
             RuleId::S2 => "unwrap()/expect()/panic! in deterministic-crate library code",
@@ -224,8 +224,9 @@ const ITER_METHODS: &[&str] = &[
 
 /// Iterator reductions whose winner depends on visit order when scores
 /// tie (or on float associativity): in contract-reachable code,
-/// per-shard results must flow through the blessed fixed-order
-/// combining loop (`shard::combine_winners`) instead.
+/// winners must be picked by an explicit fixed-order loop with a
+/// lexicographic `(score, index)` tie-break (as `index::Lex` does)
+/// instead.
 const ORDER_SENSITIVE_REDUCERS: &[&str] =
     &["reduce", "min_by", "max_by", "min_by_key", "max_by_key"];
 
@@ -1052,8 +1053,8 @@ fn rule_c3(ctx: &mut Ctx) {
                 format!(
                     "`.{}()` in contract-reachable code (borg-lint --explain shows the \
                      chain): an unordered reduction breaks the winner when scores tie; \
-                     combine per-shard results through the blessed fixed-order loop \
-                     (shard::combine_winners) or annotate \
+                     pick the winner with an explicit fixed-order loop and a lexicographic \
+                     (score, index) tie-break or annotate \
                      `// lint: order-sensitive-reduction-ok (reason)`",
                     t.text
                 ),

@@ -11,8 +11,8 @@ const SIM_LIB: &str = "crates/sim/src/fixture.rs";
 const QUERY_LIB: &str = "crates/query/src/fixture.rs";
 /// Anchor file of the `map_blocks` contract root (graph::CONTRACT_ROOTS).
 const CONTRACT: &str = "crates/query/src/parallel.rs";
-/// Anchor file of the two `ShardedPlacement` contract roots.
-const SHARD_CONTRACT: &str = "crates/sim/src/shard.rs";
+/// Anchor file of the two `Service` contract roots.
+const SERVICE_CONTRACT: &str = "crates/serve/src/service.rs";
 const TRACE_LIB: &str = "crates/trace/src/fixture.rs";
 const ANALYSIS_LIB: &str = "crates/analysis/src/fixture.rs";
 /// The blessed pool boundary: C1 allows `.recv()` here, C2 skips it.
@@ -350,37 +350,22 @@ fn c3_outside_contract_anchor_files_is_silent() {
 }
 
 #[test]
-fn c3_shard_fail_fixture_fires() {
-    // Unordered reductions over per-shard winners: min_by, reduce, and
-    // max_by_key, all reachable from the ShardedPlacement roots.
-    let c3 = count_rule(
-        SHARD_CONTRACT,
-        include_str!("fixtures/c3_shard_fail.rs"),
-        RuleId::C3,
-    );
-    assert_eq!(c3, 3, "min_by, reduce, max_by_key");
-}
-
-#[test]
-fn c3_shard_pass_fixture_is_clean() {
-    assert_clean(SHARD_CONTRACT, include_str!("fixtures/c3_shard_pass.rs"));
-}
-
-#[test]
-fn c3_shard_replacing_blessed_loop_flips_verdict() {
-    // Swapping the fixed-order combining loop for an unordered
-    // reduction must be caught.
-    let mutated = include_str!("fixtures/c3_shard_pass.rs").replace(
-        "combine_winners(shards)",
-        "shards.iter().filter_map(|s| s.first().copied()).reduce(f64::min)",
-    );
-    assert!(rules_hit(SHARD_CONTRACT, &mutated).contains(&RuleId::C3));
-}
-
-#[test]
-fn c3_shard_deleting_annotation_flips_verdict() {
-    let mutated = strip_suppressions(include_str!("fixtures/c3_shard_pass.rs"));
-    assert!(rules_hit(SHARD_CONTRACT, &mutated).contains(&RuleId::C3));
+fn c3_every_order_sensitive_reducer_flips_verdict() {
+    // Swapping the blessed sequential helper for any unordered reducer
+    // must be caught, not just the `min_by` the fail fixture carries.
+    for reducer in [
+        "xs.iter().copied().reduce(f64::min).unwrap_or(0.0)",
+        "xs.iter().copied().max_by(|a, b| a.total_cmp(b)).unwrap_or(0.0)",
+        "xs.iter().enumerate().min_by_key(|(i, _)| *i).map_or(0.0, |(_, x)| *x)",
+        "xs.iter().enumerate().max_by_key(|(i, _)| *i).map_or(0.0, |(_, x)| *x)",
+    ] {
+        let mutated =
+            include_str!("fixtures/c3_pass.rs").replace("sum_seq(xs.iter().copied())", reducer);
+        assert!(
+            rules_hit(CONTRACT, &mutated).contains(&RuleId::C3),
+            "{reducer}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------- G1
@@ -407,13 +392,18 @@ fn g1_renamed_contract_root_fires_and_silences_c3() {
 
 #[test]
 fn g1_each_root_is_required_independently() {
-    // shard.rs anchors TWO roots; deleting one fires exactly one G1.
-    let mutated = include_str!("fixtures/c3_shard_pass.rs")
-        .replace("pub fn first_preemptible", "pub fn later_preemptible");
-    let diags = lint_source(SHARD_CONTRACT, &mutated);
+    // service.rs anchors TWO roots; deleting one fires exactly one G1.
+    let src = "pub struct Service;\n\
+               impl Service {\n\
+               pub fn submit(&mut self) {}\n\
+               pub fn on_attempt_done(&mut self) {}\n\
+               }\n";
+    assert_clean(SERVICE_CONTRACT, src);
+    let mutated = src.replace("pub fn on_attempt_done", "pub fn on_attempt_finished");
+    let diags = lint_source(SERVICE_CONTRACT, &mutated);
     let g1: Vec<_> = diags.iter().filter(|d| d.rule == RuleId::G1).collect();
     assert_eq!(g1.len(), 1);
-    assert!(g1[0].message.contains("first_preemptible"));
+    assert!(g1[0].message.contains("on_attempt_done"));
 }
 
 #[test]

@@ -5,12 +5,12 @@ use crate::autopilot::Autopilot;
 use crate::config::SimConfig;
 use crate::event::{Ev, EventQueue, KIND_NAMES};
 use crate::faults::FaultInjector;
-use crate::fxhash::FxHashMap;
+use crate::index::PlacementIndex;
 use crate::machine::{Machine, Occupant};
 use crate::metrics::{tier_key, MachineSnapshot, SimMetrics};
 use crate::pending::PendingQueue;
 use crate::runset::RunningSet;
-use crate::shard::ShardedPlacement;
+use borg_query::fxhash::FxHashMap;
 use borg_telemetry::{clock, PhaseGrid, Plane, Snapshot, Telemetry};
 use borg_trace::collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
@@ -184,11 +184,9 @@ pub struct CellSim<'a> {
     profile: &'a CellProfile,
     cfg: &'a SimConfig,
     machines: Vec<Machine>,
-    /// Sharded placement index kept in lock-step with every machine
-    /// mutation (only consulted when `cfg.use_placement_index`; one
-    /// shard unless the config and host justify more — see
-    /// `SimConfig::effective_shards`).
-    index: ShardedPlacement,
+    /// Placement index kept in lock-step with every machine mutation
+    /// (only consulted when `cfg.use_placement_index`).
+    index: PlacementIndex,
     jobs: Vec<JobRt>,
     allocs: Vec<AllocRt>,
     job_by_id: std::collections::BTreeMap<u64, usize>,
@@ -291,11 +289,7 @@ impl<'a> CellSim<'a> {
         let reporting_tiers: Vec<Tier> = profile.tiers.iter().map(|t| tier_key(t.tier)).collect();
         let metrics = SimMetrics::new(&profile.name, cfg.horizon, capacity, &reporting_tiers);
 
-        let index = ShardedPlacement::new(
-            &machines,
-            cfg.seed ^ INDEX_SEED_SALT,
-            cfg.effective_shards(machines.len()),
-        );
+        let index = PlacementIndex::new(&machines);
         // The injector owns an independent RNG stream: enabling faults
         // never perturbs the fleet, workload, or placement draws.
         let faults = cfg.faults.as_ref().map(|fc| {
@@ -464,16 +458,11 @@ impl<'a> CellSim<'a> {
         }
     }
 
-    /// Best-fit winner across the fleet: indexed (exact or bounded) or
-    /// the naive reference scan, per the config.
+    /// Best-fit winner across the fleet: the placement index or the
+    /// naive reference scan, per the config (bit-identical answers).
     fn best_fit_machine(&mut self, request: Resources, tier: Tier) -> Option<(usize, f64)> {
         if self.cfg.use_placement_index {
-            return match self.cfg.candidate_cap {
-                None => self.index.best_fit(&self.machines, request, tier),
-                Some(cap) => self
-                    .index
-                    .best_fit_bounded(&self.machines, request, tier, cap),
-            };
+            return self.index.best_fit(&self.machines, request, tier);
         }
         let mut best: Option<(usize, f64)> = None;
         for (i, m) in self.machines.iter().enumerate() {
@@ -2031,7 +2020,7 @@ impl<'a> CellSim<'a> {
 
     fn finalize(&mut self) {
         self.now = self.cfg.horizon;
-        self.metrics.index = self.index.stats();
+        self.metrics.index = self.index.stats;
         // Close allocation intervals for still-running tasks (alive at
         // trace end, like real long-running services).
         let still_running: Vec<(usize, usize)> = self.running.to_vec();
@@ -2120,7 +2109,7 @@ impl<'a> CellSim<'a> {
         for (name, value) in stalls.into_iter().chain(evictions) {
             self.tel.count(&name, det, value);
         }
-        let ix = self.index.stats();
+        let ix = self.index.stats;
         let eng = Plane::Engine;
         self.tel.count("sim.index.cache_hits", eng, ix.cache_hits);
         self.tel
@@ -2131,37 +2120,9 @@ impl<'a> CellSim<'a> {
             .count("sim.index.leaves_scanned", eng, ix.leaves_scanned);
         self.tel
             .count("sim.index.preempt_probes", eng, ix.preempt_probes);
-        self.tel
-            .count("sim.index.bounded_probes", eng, ix.bounded_probes);
-        self.tel
-            .count("sim.index.shards", eng, self.index.shard_count() as u64);
-        if self.index.shard_count() > 1 {
-            // Per-shard probe counters expose load skew across the
-            // contiguous ranges (engine plane: observability only,
-            // never part of the deterministic contract).
-            for (s, st) in self.index.per_shard_stats().into_iter().enumerate() {
-                self.tel.count(
-                    &format!("sim.index.shard{s}.cache_hits"),
-                    eng,
-                    st.cache_hits,
-                );
-                self.tel.count(
-                    &format!("sim.index.shard{s}.cache_misses"),
-                    eng,
-                    st.cache_misses,
-                );
-                self.tel.count(
-                    &format!("sim.index.shard{s}.leaves_scanned"),
-                    eng,
-                    st.leaves_scanned,
-                );
-                self.tel.count(
-                    &format!("sim.index.shard{s}.preempt_probes"),
-                    eng,
-                    st.preempt_probes,
-                );
-            }
-        }
+        // Always one index per cell; the benchmark's per-layer report
+        // reads this count.
+        self.tel.count("sim.index.shards", eng, 1);
     }
 }
 
@@ -2181,10 +2142,6 @@ const DAY_MICROS: u64 = 24 * 60 * 60 * 1_000_000;
 /// Salt mixed into the config seed to derive the workload seed, so the
 /// fleet sampling and the workload use independent streams.
 const WORKLOAD_SEED_SALT: u64 = 0xB0B6_2019;
-
-/// Salt for the placement index's bounded-probe permutation, independent
-/// of both the fleet and workload streams.
-const INDEX_SEED_SALT: u64 = 0x1D_0CE5;
 
 /// Salt for the fault injector's stream, independent of all the above so
 /// enabling faults never shifts the workload or placement draws.

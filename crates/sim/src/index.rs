@@ -5,8 +5,8 @@
 //! O(machines · tasks) wall that caps cell sizes at toys. Borg's
 //! production scheduler solved this with score caching, equivalence
 //! classes, and relaxed randomization (Verma et al. §3.4); this module
-//! implements the same three ideas against the simulator's best-fit
-//! policy while keeping the *exact* mode bit-identical to the naive scan:
+//! implements the first two against the simulator's best-fit policy
+//! while staying bit-identical to the naive scan:
 //!
 //! 1. **Equivalence-class score cache** ([`ScoreCache`]): placements are
 //!    keyed by (request bits, tier). Each entry memoizes the *top-R
@@ -25,10 +25,6 @@
 //!    are bit-identical, but touches 32 contiguous bytes per machine
 //!    instead of chasing `Machine` structs — and it harvests the top-R
 //!    candidate list for the cache in the same pass.
-//! 3. **Bounded candidate search**: an opt-in relaxed-randomization mode
-//!    (`SimConfig::candidate_cap`) that stops after K feasible machines
-//!    in a seeded-deterministic probe order. This mode trades placement
-//!    quality for speed and is *not* bit-identical to the exact scan.
 //!
 //! Preemption probes use a separate **feasibility segment tree**
 //! ([`FeasTree`]) over per-subtree maxima of preemption *potential*
@@ -42,8 +38,8 @@
 //!
 //! # Determinism contract
 //!
-//! In exact mode (the default), every query returns the same machine the
-//! naive scan would pick, with the same score bits:
+//! Every query returns the same machine the naive scan would pick, with
+//! the same score bits:
 //!
 //! - Scores come from the identical float expression as
 //!   [`Machine::fit_score`] — same adds, same divides, same `max` — so
@@ -69,8 +65,8 @@
 //!   machine the exact victim check would accept; over-included leaves
 //!   are rejected by the exact check and cost nothing but a visit.
 
-use crate::fxhash::FxHashMap;
 use crate::machine::{discount, Machine};
+use borg_query::fxhash::FxHashMap;
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
 use std::collections::VecDeque;
@@ -90,8 +86,6 @@ pub struct IndexStats {
     pub leaves_scanned: u64,
     /// Preemption probes answered via the potential-headroom tree.
     pub preempt_probes: u64,
-    /// Bounded (relaxed-randomization) candidate searches.
-    pub bounded_probes: u64,
 }
 
 /// Inflates a pruning bound so float non-associativity can never exclude
@@ -237,26 +231,6 @@ impl FeasTree {
         }
         self.walk_preempt(2 * node, needed, tier, check)
             .or_else(|| self.walk_preempt(2 * node + 1, needed, tier, check))
-    }
-
-    /// Every real leaf whose inflated bound admits `needed`, in
-    /// ascending machine order — the same pruning as
-    /// [`FeasTree::walk_preempt`], but without the exact victim check,
-    /// so it needs no access to the `Machine` structs and can run on a
-    /// pool worker (see [`crate::shard`]).
-    fn collect_preemptible(&self, node: usize, needed: Resources, tier: Tier, out: &mut Vec<u32>) {
-        if !self.nodes[node].may_preempt(needed, tier) {
-            return;
-        }
-        if node >= self.size {
-            let mi = node - self.size;
-            if mi < self.machines {
-                out.push(mi as u32);
-            }
-            return;
-        }
-        self.collect_preemptible(2 * node, needed, tier, out);
-        self.collect_preemptible(2 * node + 1, needed, tier, out);
     }
 }
 
@@ -695,8 +669,8 @@ impl ScoreCache {
     }
 }
 
-/// The placement index: score cache + scan mirror + preemption tree +
-/// bounded probe order. Owned by the cell simulator and kept in
+/// The placement index: score cache + scan mirror + preemption tree.
+/// Owned by the cell simulator and kept in
 /// lock-step with every [`Machine::add`]/[`Machine::remove`] via
 /// [`PlacementIndex::on_machine_changed`].
 #[derive(Debug, Clone)]
@@ -707,37 +681,19 @@ pub struct PlacementIndex {
     dirty_list: Vec<u32>,
     mirror: Mirror,
     cache: ScoreCache,
-    /// Seeded pseudo-random machine permutation for bounded search.
-    probe_order: Vec<u32>,
-    /// Rotating start position within `probe_order`.
-    probe_cursor: usize,
     /// Query counters.
     pub stats: IndexStats,
 }
 
 impl PlacementIndex {
-    /// Builds the index over the initial fleet. `seed` fixes the bounded
-    /// mode's probe order (unused in exact mode).
-    pub fn new(machines: &[Machine], seed: u64) -> PlacementIndex {
-        let mut probe_order: Vec<u32> = (0..machines.len() as u32).collect();
-        // Deterministic Fisher–Yates driven by splitmix64.
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            borg_workload::usage_model::splitmix64(state)
-        };
-        for i in (1..probe_order.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            probe_order.swap(i, j);
-        }
+    /// Builds the index over the initial fleet.
+    pub fn new(machines: &[Machine]) -> PlacementIndex {
         PlacementIndex {
             tree: FeasTree::new(machines),
             tree_dirty: vec![false; machines.len()],
             dirty_list: Vec::new(),
             mirror: Mirror::new(machines),
             cache: ScoreCache::new(machines.len()),
-            probe_order,
-            probe_cursor: 0,
             stats: IndexStats::default(),
         }
     }
@@ -772,7 +728,9 @@ impl PlacementIndex {
     }
 
     /// Exact best-fit: the machine (and score) the naive full scan would
-    /// choose, or `None` when nothing fits.
+    /// choose, or `None` when nothing fits. A score-cache hit answers in
+    /// O(R + tail); a miss pays one full mirror scan and stores its
+    /// top-R for the next query of the same shape.
     pub fn best_fit(
         &mut self,
         machines: &[Machine],
@@ -780,39 +738,15 @@ impl PlacementIndex {
         tier: Tier,
     ) -> Option<(usize, f64)> {
         debug_assert_eq!(machines.len(), self.mirror.len());
-        if let Some(answer) = self.cached_best_fit(request, tier) {
+        let key = ShapeKey::of(request, tier);
+        let d = discount(request, tier);
+        if let Some(answer) = self.cache.lookup(key, &self.mirror, request, d) {
+            match answer {
+                Some(_) => self.stats.cache_hits += 1,
+                None => self.stats.negative_hits += 1,
+            }
             return answer;
         }
-        self.scan_best_fit(request, tier)
-    }
-
-    /// The score-cache half of [`PlacementIndex::best_fit`]: `Some` with
-    /// the exact answer on a hit (including cached "nothing fits"),
-    /// `None` on a miss. The sharded layer probes every shard's cache
-    /// sequentially — a hit is O(R + tail), far cheaper than a channel
-    /// round-trip — before fanning the misses out to workers.
-    pub(crate) fn cached_best_fit(
-        &mut self,
-        request: Resources,
-        tier: Tier,
-    ) -> Option<Option<(usize, f64)>> {
-        let key = ShapeKey::of(request, tier);
-        let d = discount(request, tier);
-        let answer = self.cache.lookup(key, &self.mirror, request, d)?;
-        match answer {
-            Some(_) => self.stats.cache_hits += 1,
-            None => self.stats.negative_hits += 1,
-        }
-        Some(answer)
-    }
-
-    /// The miss half of [`PlacementIndex::best_fit`]: a full mirror scan
-    /// plus a cache store. Touches only the mirror columns — never the
-    /// `Machine` structs — so the sharded layer can move the whole index
-    /// to a pool worker and run this there.
-    pub(crate) fn scan_best_fit(&mut self, request: Resources, tier: Tier) -> Option<(usize, f64)> {
-        let key = ShapeKey::of(request, tier);
-        let d = discount(request, tier);
         self.stats.cache_misses += 1;
         let n = self.mirror.len();
         let mut top = TopList::new();
@@ -827,39 +761,6 @@ impl PlacementIndex {
         self.stats.leaves_scanned += n as u64;
         self.cache.store(key, &top);
         top.first().map(|l| (l.mi as usize, l.score))
-    }
-
-    /// Bounded candidate search (relaxed randomization): scans the seeded
-    /// probe order from a rotating cursor and keeps the best of the first
-    /// `cap` feasible machines. Deterministic for a given seed, but *not*
-    /// equivalent to the exact scan.
-    pub fn best_fit_bounded(
-        &mut self,
-        machines: &[Machine],
-        request: Resources,
-        tier: Tier,
-        cap: usize,
-    ) -> Option<(usize, f64)> {
-        self.stats.bounded_probes += 1;
-        let n = self.probe_order.len();
-        if n == 0 {
-            return None;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        let mut feasible = 0usize;
-        let mut scanned = 0usize;
-        while scanned < n && feasible < cap {
-            let mi = self.probe_order[(self.probe_cursor + scanned) % n] as usize;
-            scanned += 1;
-            if let Some(s) = machines[mi].fit_score(request, tier) {
-                feasible += 1;
-                if best.is_none_or(|(_, bs)| s < bs) {
-                    best = Some((mi, s));
-                }
-            }
-        }
-        self.probe_cursor = (self.probe_cursor + scanned) % n;
-        best
     }
 
     /// The lowest-indexed machine that can host `request` at `tier` after
@@ -878,33 +779,6 @@ impl PlacementIndex {
         self.tree.first_preemptible(needed, tier, &mut |mi| {
             machines[mi].preemption_victims(request, tier)
         })
-    }
-
-    /// Flushes dirty preemption-tree leaves. The sharded fan-out calls
-    /// this on the main thread — which holds the `Machine` structs —
-    /// before moving the shard to a pool worker for candidate
-    /// enumeration.
-    pub(crate) fn flush_for_preempt(&mut self, machines: &[Machine]) {
-        self.flush_tree(machines);
-    }
-
-    /// Preemption candidates for the sharded fan-out: the shard-local
-    /// indices of every machine whose inflated tree bound admits
-    /// `needed`, ascending. Requires [`PlacementIndex::flush_for_preempt`]
-    /// first. The caller runs the exact `preemption_victims` checks in
-    /// global machine order with early exit, so the first passing
-    /// machine is exactly the one the naive walk returns; bound-passing
-    /// leaves the naive walk never visited (because it exited earlier)
-    /// are rejected by the same exact check and cost only the visit.
-    pub(crate) fn preempt_candidates(&mut self, needed: Resources, tier: Tier) -> Vec<u32> {
-        self.stats.preempt_probes += 1;
-        debug_assert!(
-            self.dirty_list.is_empty(),
-            "flush_for_preempt must run first"
-        );
-        let mut out = Vec::new();
-        self.tree.collect_preemptible(1, needed, tier, &mut out);
-        out
     }
 }
 
@@ -966,7 +840,7 @@ mod tests {
                     Machine::new(MachineId(i), Resources::new(cpu, mem))
                 })
                 .collect();
-            let mut index = PlacementIndex::new(&machines, seed);
+            let mut index = PlacementIndex::new(&machines);
             let mut occupants: Vec<(usize, usize)> = Vec::new();
             let mut next_owner = 0usize;
             // A small shape pool so the cache sees repeated equivalence
@@ -1036,7 +910,7 @@ mod tests {
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
         let mut machines = machines;
-        let mut index = PlacementIndex::new(&machines, 0);
+        let mut index = PlacementIndex::new(&machines);
         let request = Resources::new(0.1, 0.1);
         for owner in 0..32 {
             let (mi, _) = index
@@ -1067,7 +941,7 @@ mod tests {
         let mut machines: Vec<Machine> = (0..8)
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
-        let mut index = PlacementIndex::new(&machines, 0);
+        let mut index = PlacementIndex::new(&machines);
         let request = Resources::new(0.2, 0.2);
         let (w, _) = index.best_fit(&machines, request, Tier::Mid).expect("fits");
         machines[w].add(Occupant {
@@ -1093,7 +967,7 @@ mod tests {
     #[test]
     fn negative_answers_cached() {
         let mut machines = vec![Machine::new(MachineId(0), Resources::new(0.5, 0.5))];
-        let mut index = PlacementIndex::new(&machines, 0);
+        let mut index = PlacementIndex::new(&machines);
         let big = Resources::new(0.9, 0.9);
         assert_eq!(index.best_fit(&machines, big, Tier::Free), None);
         machines[0].add(Occupant {
@@ -1115,7 +989,7 @@ mod tests {
         let machines: Vec<Machine> = (0..4)
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
-        let mut index = PlacementIndex::new(&machines, 0);
+        let mut index = PlacementIndex::new(&machines);
         for k in 0..(MAX_ENTRIES + 50) {
             let request = Resources::new(0.1 + k as f64 * 1e-7, 0.1);
             let got = index.best_fit(&machines, request, Tier::Mid);
@@ -1129,37 +1003,41 @@ mod tests {
         );
     }
 
+    /// Capacity churn (the fault injector zeroes and restores machine
+    /// capacity) keeps the cache exact.
     #[test]
-    fn bounded_mode_is_deterministic_and_feasible() {
-        let machines: Vec<Machine> = (0..128)
+    fn capacity_churn_stays_exact() {
+        let seed = 17u64;
+        let mut machines: Vec<Machine> = (0..24)
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
-        let request = Resources::new(0.25, 0.25);
-        let run = |seed: u64| {
-            let mut index = PlacementIndex::new(&machines, seed);
-            (0..10)
-                .map(|_| {
-                    index
-                        .best_fit_bounded(&machines, request, Tier::Mid, 4)
-                        .expect("fits")
-                        .0
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(5), run(5), "same seed, same probes");
-        assert_ne!(run(5), run(6), "different seed, different probes");
+        let mut index = PlacementIndex::new(&machines);
+        let request = Resources::new(0.3, 0.3);
+        for step in 0..400u64 {
+            let r = splitmix64(seed.wrapping_add(step * 2654435761));
+            let mi = (r % 24) as usize;
+            if r.is_multiple_of(3) {
+                // Fail: capacity to zero (as `fail_machine` does).
+                machines[mi].capacity = Resources::ZERO;
+            } else {
+                machines[mi].capacity = Resources::new(1.0, 1.0);
+            }
+            index.on_machine_changed(mi, &machines[mi]);
+            let expect = naive_best_fit(&machines, request, Tier::Mid);
+            assert_eq!(
+                index.best_fit(&machines, request, Tier::Mid),
+                expect,
+                "step {step}"
+            );
+        }
     }
 
     #[test]
     fn empty_fleet_queries_are_none() {
         let machines: Vec<Machine> = Vec::new();
-        let mut index = PlacementIndex::new(&machines, 1);
+        let mut index = PlacementIndex::new(&machines);
         assert_eq!(
             index.best_fit(&machines, Resources::new(0.1, 0.1), Tier::Free),
-            None
-        );
-        assert_eq!(
-            index.best_fit_bounded(&machines, Resources::new(0.1, 0.1), Tier::Free, 3),
             None
         );
         assert_eq!(

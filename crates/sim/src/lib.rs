@@ -33,7 +33,6 @@ pub mod cell;
 pub mod config;
 pub mod event;
 pub mod faults;
-pub mod fxhash;
 pub mod index;
 pub mod machine;
 pub mod metrics;
@@ -41,7 +40,6 @@ pub mod multi;
 pub mod pending;
 pub mod pool;
 pub mod runset;
-pub mod shard;
 
 pub use cell::{CellOutcome, CellSim};
 pub use config::SimConfig;
@@ -53,4 +51,3 @@ pub use index::PlacementIndex;
 pub use metrics::SimMetrics;
 pub use multi::run_cells_parallel;
 pub use pool::WorkerPool;
-pub use shard::ShardedPlacement;

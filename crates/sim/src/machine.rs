@@ -7,7 +7,7 @@
 //! above 100% of capacity (Figures 4/5) while usage stays below it
 //! (Figure 2).
 
-use crate::fxhash::FxHashMap;
+use borg_query::fxhash::FxHashMap;
 use borg_trace::machine::MachineId;
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;

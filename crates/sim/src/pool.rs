@@ -1,31 +1,30 @@
-//! A persistent ownership-transfer worker pool for deterministic fan-out.
+//! An ownership-transfer worker pool for deterministic fan-out.
 //!
-//! `std::thread::scope` is the right tool for coarse one-shot parallelism
-//! (see `borg_query::parallel::map_blocks`), but a placement probe runs
-//! millions of times per simulated month and cannot afford a thread spawn
-//! per call. [`WorkerPool`] keeps a fixed set of workers alive for the
-//! lifetime of its owner and moves *owned* jobs to them over channels —
-//! no scoped borrows, no locks, no unsafe code, no new dependencies:
+//! Its caller is [`crate::multi::run_cells_parallel`], which queues
+//! independent cell simulations onto a fixed set of workers capped at
+//! available parallelism, so a 100-profile policy sweep runs on the
+//! host's cores instead of spawning 100 threads. [`WorkerPool`] moves
+//! *owned* jobs to its workers over channels — no scoped borrows, no
+//! locks, no unsafe code, no new dependencies:
 //!
 //! * Every job is tagged with its batch position, and results land in a
 //!   slot vector by tag, so the output order is the input order no
 //!   matter which worker finished first. Scheduling can never change
-//!   what a batch returns — the same discipline as `map_blocks`'s fixed
-//!   partitioning + ordered merge, which keeps parallel callers
-//!   bit-identical to their sequential counterparts (DESIGN.md §14).
+//!   what a batch returns — the same discipline as
+//!   `borg_query::parallel::map_blocks`'s fixed partitioning + ordered
+//!   merge, which keeps parallel callers bit-identical to their
+//!   sequential counterparts.
 //! * The calling thread is a worker too: [`WorkerPool::run_batch`]
 //!   dispatches jobs `1..` and computes job `0` inline, so a pool of
 //!   `n` workers uses `n + 1` cores, and a pool of zero workers
 //!   degenerates to a plain sequential loop over the batch (the
-//!   single-core / K=1 path).
+//!   single-core path).
 //! * Dropping the pool closes the job channels; workers observe the
 //!   hangup, drain, and exit, and `Drop` joins them.
 //!
-//! Jobs must be owned values (`J: Send + 'static`): the sharded
-//! placement layer moves whole per-shard `PlacementIndex` values into
-//! jobs and back out with the results (a handful of `Vec` headers per
-//! move), and `multi::run_cells_parallel` moves `(profile, config)`
-//! pairs. A panicking job is caught inside the worker loop
+//! Jobs must be owned values (`J: Send + 'static`):
+//! `run_cells_parallel` moves `(profile, config)` pairs in and cell
+//! outcomes out. A panicking job is caught inside the worker loop
 //! (`catch_unwind`), carried back over the result channel, and
 //! re-raised on the caller **after** the whole batch has drained: the
 //! lowest-tagged panic wins, so which panic the caller observes does
@@ -241,8 +240,8 @@ mod tests {
 
     #[test]
     fn owned_state_round_trips_through_workers() {
-        // The ownership-transfer pattern the shard layer relies on:
-        // move a value in, get it back with the answer.
+        // The ownership-transfer pattern: move a value in, get it back
+        // with the answer.
         fn push(mut v: Vec<u64>) -> Vec<u64> {
             let n = v.iter().sum();
             v.push(n);

@@ -150,22 +150,6 @@ fn batched_loop_survives_churn_stress() {
     }
 }
 
-/// Sharded placement (`SimConfig::placement_shards`, DESIGN.md §14)
-/// must compose with both event loops: the legacy and batched loops,
-/// each probing K parallel shards, still agree bit for bit.
-#[test]
-fn batched_loop_is_bit_identical_with_sharded_placement() {
-    for k in [3usize, 16] {
-        let mut cfg = SimConfig::tiny_for_tests(21);
-        cfg.placement_shards = Some(k);
-        check_equivalence(
-            &CellProfile::cell_2019('a'),
-            &cfg,
-            &format!("sharded K={k}"),
-        );
-    }
-}
-
 /// The legacy arm must remain exercised (it guards the contract) and the
 /// batched arm must actually run with batching enabled by default.
 #[test]

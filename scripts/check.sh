@@ -24,10 +24,6 @@
 # lossy write → lenient read → repair → validate), the fast loop when
 # working on the fault subsystem.
 #
-# With --shards, runs only the sharded-placement equivalence suite
-# (every shard count bit-identical to the single index, DESIGN.md §14),
-# the fast loop when working on the shard/pool subsystem.
-#
 # With --serve, runs only the borg-serve fast loop: the crate's unit
 # tests plus the wall-clock chaos smoke (200 mixed-tier queries through
 # a real ServePool with injected stalls and panics; asserts clean drain
@@ -65,7 +61,6 @@ Modes:
   --lint        borg-lint only (fast pre-commit loop; honors $LINT_BASELINE)
   --lint-graph  dump the computed contract/pool reachability set and exit
   --chaos    chaos roundtrip suite only (fault injection & trace repair)
-  --shards   sharded-placement equivalence suite only (bit-identity sweep)
   --serve    borg-serve fast loop only (unit tests + wall-clock chaos smoke)
   --slo      observability fast loop only (witness/SLO/recorder tests + serve_slo)
   --profile  telemetry profile report only (512-machine cell-day breakdown)
@@ -79,7 +74,6 @@ lint_only=0
 lint_graph=0
 chaos_only=0
 profile_only=0
-shards_only=0
 serve_only=0
 slo_only=0
 for arg in "$@"; do
@@ -88,7 +82,6 @@ for arg in "$@"; do
     --lint) lint_only=1 ;;
     --lint-graph) lint_graph=1 ;;
     --chaos) chaos_only=1 ;;
-    --shards) shards_only=1 ;;
     --serve) serve_only=1 ;;
     --slo) slo_only=1 ;;
     --profile) profile_only=1 ;;
@@ -107,8 +100,7 @@ done
 # Phase-fraction regression guard over one profile run's output:
 # extract the "guard: dispatch+usage_tick share = NN.N%" line and fail
 # if it exceeds the stored baseline ($2: a key in
-# scripts/profile_baseline — dispatch_share for the single-index run,
-# sharded_dispatch_share for the sharded run) by more than 10 points.
+# scripts/profile_baseline) by more than 10 points.
 profile_guard() {
     share=$(sed -n 's/^guard: dispatch+usage_tick share = \([0-9.]*\)%.*/\1/p' "$1")
     key=$2
@@ -136,21 +128,8 @@ if [ "$profile_only" -eq 1 ]; then
     cargo run -q --release -p borg-experiments --offline --bin profile >"$profile_out"
     cat "$profile_out"
     profile_guard "$profile_out" dispatch_share
-    echo "==> telemetry profile (512-machine cell-day, 4 placement shards)"
-    cargo run -q --release -p borg-experiments --offline --bin profile -- --shards 4 >"$profile_out"
-    cat "$profile_out"
-    profile_guard "$profile_out" sharded_dispatch_share
     rm -f "$profile_out"
     echo "Profile check passed."
-    exit 0
-fi
-
-if [ "$shards_only" -eq 1 ]; then
-    echo "==> sharded-placement equivalence (bit-identity across shard counts)"
-    cargo test -p borg-sim --test shard_equivalence --offline -q
-    cargo test -p borg-sim --offline -q --lib shard::
-    cargo test -p borg-sim --offline -q --lib pool::
-    echo "Shard check passed."
     exit 0
 fi
 
@@ -239,8 +218,6 @@ echo "==> telemetry profile smoke (64-machine cell-day)"
 profile_out=$(mktemp)
 cargo run -q --release -p borg-experiments --offline --bin profile -- --machines 64 >"$profile_out"
 profile_guard "$profile_out" dispatch_share
-cargo run -q --release -p borg-experiments --offline --bin profile -- --machines 64 --shards 4 >"$profile_out"
-profile_guard "$profile_out" sharded_dispatch_share
 rm -f "$profile_out"
 
 if [ "$run_bench" -eq 1 ]; then
